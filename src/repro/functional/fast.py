@@ -2,11 +2,11 @@
 
 The reference interpreter in :mod:`repro.functional.executor` dispatches
 every dynamic instruction through dict lookups and per-op attribute
-reads; with the columnar timing engine of PR 6 that made *trace
-generation* the dominant cold-run cost.  This module keeps the reference
-executor as the oracle and adds :class:`FastExecutor`, which must
-produce bit-identical traces (npz bytes included) and final
-architectural state while being an order of magnitude faster.
+reads, which makes *trace generation* a large share of a cold run.
+This module keeps the reference executor as the oracle and adds
+:class:`FastExecutor`, which must produce bit-identical traces (npz
+bytes included) and final architectural state while being an order of
+magnitude faster.
 
 How it gets there:
 

@@ -50,18 +50,10 @@ from .trace import ProgramTrace, trace_from_bytes, trace_to_bytes
 
 
 def result_key(program_digest: str, config_digest: str, num_threads: int,
-               max_cycles: int, engine: str = "event") -> str:
-    """Content key for one timing-simulation result.
-
-    The default ("event") engine keeps its historic key so existing
-    caches stay warm; other engines get distinct keys -- the engines
-    are verified bit-identical, but sharing entries would let a cached
-    event-engine number mask a columnar-engine bug.
-    """
+               max_cycles: int) -> str:
+    """Content key for one timing-simulation result."""
     raw = (f"vlt-result-v1:{program_digest}:{config_digest}:"
            f"{num_threads}:{max_cycles}")
-    if engine != "event":
-        raw += f":engine={engine}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 

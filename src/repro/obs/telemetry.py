@@ -4,10 +4,10 @@ PR 1 made the *simulated machine* observable; this module does the same
 for the *host-side fleet* that executes it -- the parallel
 :class:`~repro.harness.runner.ExperimentRunner`, its worker processes,
 the content-addressed :class:`~repro.functional.trace_cache.TraceCache`
-and the replay engines.  Four pieces, all host-wall-clock:
+and the replay engine.  Four pieces, all host-wall-clock:
 
 * **Spans** -- lightweight nested intervals
-  (``with span("timing_replay", engine="columnar"):``) recorded into an
+  (``with span("simulate", func_engine="fast"):``) recorded into an
   ambient per-process :class:`SpanCollector`.  When no collector is
   installed (the default) a span is a bare ``perf_counter`` pair and
   records nothing.  :class:`~repro.obs.hostprof.PhaseProfiler` times its
@@ -54,13 +54,14 @@ from .chrome_trace import track_metadata
 
 #: run-ledger record schema version (bump on breaking field changes).
 #: Schema 3 added the job-service provenance fields ``tenant`` and
-#: ``job_id`` (both None for CLI/runner sweeps).
-LEDGER_SCHEMA = 3
+#: ``job_id`` (both None for CLI/runner sweeps); schema 4 dropped the
+#: timing ``engine`` field when the event machine became the only one.
+LEDGER_SCHEMA = 4
 
-#: every field of a schema-3 run record, in canonical order; the golden
+#: every field of a schema-4 run record, in canonical order; the golden
 #: ledger test asserts records carry exactly these keys
 RUN_RECORD_FIELDS = (
-    "schema", "app", "config", "threads", "scalar_only", "engine",
+    "schema", "app", "config", "threads", "scalar_only",
     "func_engine", "attempt", "worker", "tenant", "job_id",
     "outcome", "error_type",
     "cycles", "wall_s",
@@ -467,12 +468,9 @@ class TelemetryReader:
             key = str(r.get("error_type") or "unknown")
             failure_classes[key] = failure_classes.get(key, 0) + 1
 
-        engine_mix: Dict[str, int] = {}
         func_engine_mix: Dict[str, int] = {}
         tenant_mix: Dict[str, int] = {}
         for r in recs:
-            eng = str(r.get("engine") or "unknown")
-            engine_mix[eng] = engine_mix.get(eng, 0) + 1
             feng = str(r.get("func_engine") or "unknown")
             func_engine_mix[feng] = func_engine_mix.get(feng, 0) + 1
             if r.get("tenant") is not None:   # service-submitted runs
@@ -500,7 +498,6 @@ class TelemetryReader:
             "total_cycles": cycles,
             "throughput_cycles_per_s": (cycles / span_s
                                         if span_s > 0 else None),
-            "engine_mix": engine_mix,
             "func_engine_mix": func_engine_mix,
             "tenant_mix": tenant_mix,
             "cache_counters": cache_totals,
@@ -541,9 +538,7 @@ class TelemetryReader:
             f"  cache: result hit rate {pct(m['result_cache_hit_rate'])} "
             f"({m['result_cache_served']} runs served), trace hit rate "
             f"{pct(m['trace_cache_hit_rate'])}",
-            "  engines: timing " + ", ".join(
-                f"{k} x{v}" for k, v in sorted(m["engine_mix"].items()))
-            + "; functional " + ", ".join(
+            "  engines: functional " + ", ".join(
                 f"{k} x{v}"
                 for k, v in sorted(m["func_engine_mix"].items())),
         ]
@@ -574,7 +569,6 @@ class TelemetryReader:
 TREND_METRICS = (
     ("end_to_end", "cycles_per_s"),
     ("timing_replay", "cycles_per_s"),
-    ("timing_replay_columnar", "cycles_per_s"),
     ("functional", "ops_per_s"),
     ("trace_generation_fast", "ops_per_s"),
     ("duplicate_burst", "jobs_per_s"),

@@ -81,10 +81,6 @@ class Cache:
         set_idx, tag = self._locate(addr)
         return tag in self._sets[set_idx]
 
-    def line_of(self, addr: int) -> int:
-        """Line number containing ``addr`` (for coalescing logic)."""
-        return addr // self.line_bytes
-
     def invalidate(self, addr: int) -> bool:
         """Drop the line containing ``addr`` if present (coherence).
 

@@ -133,10 +133,6 @@ class RunResult:
         bounds = [0] + list(self.phase_release_cycles) + [self.cycles]
         return [b - a for a, b in zip(bounds, bounds[1:])]
 
-    @property
-    def total_issued_scalar(self) -> int:
-        return sum(s.issued for s in self.scalar_units)
-
     def summary(self) -> str:
         lines = [
             f"run {self.program_name} on {self.config_name} "

@@ -3,10 +3,14 @@
 Runs the *full* experiment matrix (every run behind Figures 1/3/4/5/6,
 all nine workloads) through the runner serially and with four worker
 processes, and asserts cycle-for-cycle and byte-for-byte agreement of
-the generated EXPERIMENTS.md.  This is the slowest test in the suite
-(it executes the sweep twice); it is the acceptance test for the
+the generated EXPERIMENTS.md.  The serial document must also equal the
+committed EXPERIMENTS.md byte for byte, which pins the absolute cycle
+count of every run in the matrix.  This is the slowest test in the
+suite (it executes the sweep twice); it is the acceptance test for the
 parallel runner, not a unit test.
 """
+
+from pathlib import Path
 
 from repro.harness import experiments as E
 from repro.harness.docgen import generate_experiments_md
@@ -14,6 +18,7 @@ from repro.harness.runner import ExperimentRunner
 from repro.timing.run import set_trace_cache_dir
 
 _FIGS = ["fig1", "fig3", "fig4", "fig5", "fig6"]
+_COMMITTED = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 def test_jobs4_matches_jobs1_full_matrix(tmp_path):
@@ -34,5 +39,6 @@ def test_jobs4_matches_jobs1_full_matrix(tmp_path):
     doc1 = generate_experiments_md(runs=serial.results)
     doc4 = generate_experiments_md(runs=parallel.results)
     assert doc1 == doc4   # byte-identical documents
+    assert doc1 == _COMMITTED.read_text()   # pinned absolute cycles
     for app in E.ALL_APPS:
         assert app in doc4

@@ -72,6 +72,30 @@ class TestDocsGraph:
             assert verb in corpus, \
                 f"CLI verb {verb!r} appears in no doc page or README"
 
+    def test_dotted_module_paths_import(self):
+        """Every ``repro.<pkg>[.<mod>]`` path in DESIGN.md and docs/ names
+        a real package, and ``<mod>`` a real submodule or attribute."""
+        import importlib
+        import re
+        pat = re.compile(r"(?<![\w./-])repro\.([a-z_][a-z0-9_]*)"
+                         r"(?:\.([a-z_][a-z0-9_]*))?")
+        pages = [ROOT / "DESIGN.md"] + sorted((ROOT / "docs").glob("*.md"))
+        bad = set()
+        for page in pages:
+            for m in pat.finditer(page.read_text()):
+                pkg, mod = m.groups()
+                try:
+                    package = importlib.import_module(f"repro.{pkg}")
+                    if mod is not None:
+                        try:
+                            importlib.import_module(f"repro.{pkg}.{mod}")
+                        except ModuleNotFoundError:
+                            if not hasattr(package, mod):
+                                raise
+                except ModuleNotFoundError:
+                    bad.add(f"{page.name}: {m.group(0)}")
+        assert not bad, sorted(bad)
+
 
 class TestIsaDocSemantics:
     """Parse the committed docs/isa.md opcode tables back into data and

@@ -115,6 +115,12 @@ class TestDiskCache:
         assert cache.load_result("0" * 64) is None
         assert cache.result_misses == 1
 
+    def test_result_key_is_pinned(self):
+        # warm result caches stay valid only while this digest holds
+        key = result_key("0" * 64, "f" * 64, 4, 50_000_000)
+        assert key == ("afee9a6e4a9a8aac44165e6d911ca29d"
+                       "dfdc44539d7de87ca2023d8952832afe")
+
     def test_orphan_tmp_files_counted_and_swept(self, tmp_path):
         # a writer killed mid-`_atomic_write` leaves `<name>.tmpXXXX`
         # behind; the census must not count it as an entry, and the
