@@ -38,6 +38,45 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from .scalar_unit import CODE_BASE, INSTR_BYTES
 
+# slip kinds of a static instruction (see :func:`_slip_facts`)
+_OTHER, _BOUNDARY, _LOAD, _ADDR = range(4)
+
+
+def _slip_facts(op: DynOp) -> tuple:
+    """Static decoupled-slip facts of ``op``'s instruction.
+
+    Returns ``(kind, read_mask, write_mask, access_mask, dest_mask,
+    dest, reads)``: the slip kind, bitmasks of the register uids it
+    reads, writes and either reads or writes, the bit and uid of its
+    destination (``writes[0]``) and its source uids.  Only loads and
+    scalar-integer ops that write a register are slip candidates; all
+    other non-boundary ops are ``_OTHER``.  The facts depend only on
+    the pc, so one tuple serves every dynamic instance.
+    """
+    spec = op.spec
+    writes = op.writes
+    if spec.is_barrier or spec.is_halt or spec.is_vltcfg or spec.is_vector:
+        kind = _BOUNDARY
+    elif not writes:
+        kind = _OTHER
+    elif spec.is_load:
+        kind = _LOAD
+    elif (spec.pool == "arith" and not spec.is_branch
+          and all(u < 32 for u in writes)):
+        kind = _ADDR
+    else:
+        kind = _OTHER
+    read_mask = 0
+    for u in op.reads:
+        read_mask |= 1 << u
+    write_mask = 0
+    for u in writes:
+        write_mask |= 1 << u
+    dest = writes[0] if writes else -1
+    dest_mask = 1 << dest if writes else 0
+    return (kind, read_mask, write_mask, read_mask | write_mask, dest_mask,
+            dest, op.reads)
+
 
 class LaneCore:
     """One lane operating as an independent 2-way in-order scalar core."""
@@ -65,10 +104,19 @@ class LaneCore:
         self.finish_time: Optional[int] = None
         #: trace indices of loads issued early by decoupled slip
         self.pre_issued: set = set()
+        #: per-op slip facts (shared per pc; see :func:`_slip_facts`)
+        self.facts: List[tuple] = []
+        #: earliest cycle at which a stalled slip scan can issue again
+        self.slip_wake = 0
 
     def add_thread(self, tid: int, trace: List[DynOp]) -> None:
         self.tid = tid
         self.trace = trace
+        by_pc = {}
+        for op in trace:
+            if op.pc not in by_pc:
+                by_pc[op.pc] = _slip_facts(op)
+        self.facts = [by_pc[op.pc] for op in trace]
         self.halted = False
 
     # ------------------------------------------------------------------
@@ -77,9 +125,12 @@ class LaneCore:
         if self.halted or self.waiting_barrier:
             return
         if self.stall_until > cycle:
-            # execute stream stalled: the access stream keeps running
-            self._slip(cycle, 2)
+            # execute stream stalled: the access stream keeps running,
+            # but only rescans once its last scan's result can change
+            if cycle >= self.slip_wake:
+                self._slip(cycle, 2)
             return
+        self.slip_wake = 0
         budget = self.cfg.width
         mem_slots = 2  # two memory ports per lane (Table 3)
         trace = self.trace
@@ -207,59 +258,84 @@ class LaneCore:
         destination (anti/output dependence).  FP instructions never
         slip (they are the execute stream); stores never slip; slip
         stops at control boundaries and is bounded by
-        ``decouple_depth`` instructions and ``budget`` issues per cycle
-        (the lane is still a 2-wide machine).  Memory-order hazards are
-        not modelled, as in the rest of the timing simulator.
+        ``decouple_depth`` instructions and ``budget`` issues per cycle.
+        Memory-order hazards are not modelled, as in the rest of the
+        timing simulator.
+
+        Known deviation, kept because fixing it moves pinned cycles: on
+        the operand-stall path :meth:`step` passes its *remaining memory
+        ports* as ``budget`` and ignores its remaining issue width, so a
+        lane that issued one ALU op in order may slip two more ops in
+        the same cycle (3 issues on a 2-wide core).
+
+        Wake-up: a scan that issues nothing records in ``slip_wake`` the
+        earliest cycle at which its result can change -- the smallest
+        operand-ready time of a hazard-free candidate blocked only on
+        its operands, capped by ``stall_until``.  The scan reads only
+        ``idx``, ``pre_issued`` and this lane's ``reg_ready``, which
+        change only when this lane issues, and a scan that issues
+        nothing has no side effects, so every rescan before that cycle
+        would repeat it exactly.  A scan that issues anything, or that
+        has no budget, wakes at ``cycle + 1``.  Hazard checks are O(1)
+        bitmask tests on the per-pc facts of :func:`_slip_facts`.
         """
+        if not budget:
+            self.slip_wake = cycle + 1
+            return
         trace = self.trace
+        facts = self.facts
         reg_ready = self.reg_ready
+        pre_issued = self.pre_issued
+        idx = self.idx
+        _, _, written, touched, _, _, _ = facts[idx]
+        limit = min(len(trace), idx + 1 + self.cfg.decouple_depth)
         mem_slots = 2
-        written: set = set()
-        read: set = set()
-        head = trace[self.idx]
-        written.update(head.writes)
-        read.update(head.reads)
-        limit = min(len(trace), self.idx + 1 + self.cfg.decouple_depth)
-        for j in range(self.idx + 1, limit):
-            if budget == 0:
-                return
-            if j in self.pre_issued:
+        wake = self.stall_until
+        for j in range(idx + 1, limit):
+            if j in pre_issued:
                 continue
-            op = trace[j]
-            spec = op.spec
-            if spec.is_barrier or spec.is_halt or spec.is_vltcfg \
-                    or spec.is_vector:
-                return
-            # candidates: loads, and scalar-integer address arithmetic
-            is_addr_op = (spec.pool == "arith" and not spec.is_branch
-                          and op.writes
-                          and all(u < 32 for u in op.writes))
-            if (spec.is_load and mem_slots > 0) or is_addr_op:
-                dst = op.writes[0] if op.writes else None
-                hazard = (dst is None or dst in written or dst in read
-                          or any(u in written for u in op.reads))
-                if not hazard and all(reg_ready[u] <= cycle
-                                      for u in op.reads):
-                    if spec.is_load:
-                        done = self.l2.access(int(op.addrs[0]),
-                                              cycle + spec.latency)
-                        mem_slots -= 1
-                    else:
-                        done = cycle + spec.latency
-                    reg_ready[dst] = done
-                    if done > self.last_done:
-                        self.last_done = done
-                    self.pre_issued.add(j)
-                    self.stats.issued += 1
-                    obs = self.obs
-                    if obs.enabled:
-                        obs.emit(Event(cycle, LANE_ISSUE,
-                                       f"lane{self.lane_idx}", op,
-                                       dur=done - cycle, arg="slip"))
-                    budget -= 1
-                    continue
-            written.update(op.writes)
-            read.update(op.reads)
+            kind, rmask, wmask, amask, dmask, dst, reads = facts[j]
+            if kind:
+                if kind == _BOUNDARY:
+                    break
+                # candidates: loads while a memory port is left, and
+                # scalar-integer address arithmetic, free of hazards
+                if (mem_slots or kind == _ADDR) and not touched & dmask \
+                        and not written & rmask:
+                    ready = 0
+                    for u in reads:
+                        t = reg_ready[u]
+                        if t > ready:
+                            ready = t
+                    if ready <= cycle:
+                        op = trace[j]
+                        spec = op.spec
+                        if kind == _LOAD:
+                            done = self.l2.access(int(op.addrs[0]),
+                                                  cycle + spec.latency)
+                            mem_slots -= 1
+                        else:
+                            done = cycle + spec.latency
+                        reg_ready[dst] = done
+                        if done > self.last_done:
+                            self.last_done = done
+                        pre_issued.add(j)
+                        self.stats.issued += 1
+                        obs = self.obs
+                        if obs.enabled:
+                            obs.emit(Event(cycle, LANE_ISSUE,
+                                           f"lane{self.lane_idx}", op,
+                                           dur=done - cycle, arg="slip"))
+                        wake = cycle + 1
+                        budget -= 1
+                        if not budget:
+                            break
+                        continue
+                    if ready < wake:
+                        wake = ready
+            written |= wmask
+            touched |= amask
+        self.slip_wake = wake
 
     def resume(self, at: int) -> None:
         """Barrier release: resume fetching at cycle ``at``."""
@@ -267,8 +343,14 @@ class LaneCore:
         self.stall_until = max(self.stall_until, at)
 
     def next_event(self, cycle: int) -> int:
+        """Next cycle at which :meth:`step` can do work.
+
+        A stalled lane sleeps until its execute stream resumes or its
+        slip scan can change (``slip_wake``), so the machine skips
+        stretches in which every lane waits.
+        """
         if self.halted or self.waiting_barrier:
             return 1 << 62
-        # even while the execute stream is stalled, the decoupled access
-        # stream may issue work next cycle, so stay schedulable
+        if self.stall_until > cycle:
+            return max(cycle + 1, min(self.slip_wake, self.stall_until))
         return cycle + 1

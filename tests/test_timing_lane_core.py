@@ -1,10 +1,13 @@
 """Lane-core (scalar threads on lanes) timing model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.isa import assemble
 from repro.timing import simulate
 from repro.timing.config import CMT, VLT_SCALAR
+from repro.workloads import get_workload
 
 
 def run_lanes(src, threads=1, cfg=VLT_SCALAR):
@@ -139,6 +142,18 @@ class TestDecoupledSlip:
             body.append("addi s1, s1, 8")
         warm = self._warm("\n".join(body), data=".space x 256")
         assert warm >= 16 * 10
+
+    def test_ocean_cycles_pinned_per_depth(self):
+        # EXPERIMENTS.md pins only the default depth (48); pin the
+        # others so a slip change cannot hide behind the default window
+        prog = get_workload("ocean").program(scalar_only=True)
+        cycles = {}
+        for depth in (0, 1, 8, 48):
+            cfg = replace(VLT_SCALAR, name=f"VLT-d{depth}",
+                          lane_core=replace(VLT_SCALAR.lane_core,
+                                            decouple_depth=depth))
+            cycles[depth] = simulate(prog, cfg, num_threads=8).cycles
+        assert cycles == {0: 20515, 1: 20157, 8: 19469, 48: 19256}
 
 
 class TestICache:
