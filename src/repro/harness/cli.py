@@ -67,7 +67,7 @@ EXPERIMENT_NAMES = ["table1", "table2", "table3", "table4",
 #: test asserts each one is documented somewhere under docs/ or README
 CLI_VERBS = tuple(EXPERIMENT_NAMES) + (
     "all", "verify", "mix", "run", "trace", "profile", "determinism",
-    "cache", "lint", "diff", "tele", "serve", "compiler-tradeoff")
+    "cache", "lint", "diff", "tele", "compiler-tradeoff")
 
 
 def verify_workloads(apps: Optional[List[str]] = None) -> str:
@@ -472,6 +472,20 @@ def run_experiment(name: str, apps: Optional[List[str]] = None,
                                              runs=runs))
 
 
+#: names the report path runs as sections (everything but the verbs)
+_SECTION_NAMES = tuple(EXPERIMENT_NAMES) + ("all", "verify", "mix")
+
+
+def _wants_runner(args: argparse.Namespace) -> bool:
+    """True when a sweep verb must go through :class:`ExperimentRunner`
+    (any option only the runner honours); False keeps the serial inline
+    drivers."""
+    return (args.jobs > 1 or bool(args.cache_dir)
+            or args.timeout is not None or args.verify
+            or bool(args.telemetry) or args.progress
+            or args.func_engine != "reference")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="vlt-repro",
@@ -540,23 +554,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--last", type=int, default=5,
                         help="history entries in the trend report "
                              "('tele trend' verb)")
-    parser.add_argument("--host", type=str, default="127.0.0.1",
-                        help="bind address for the 'serve' verb")
-    parser.add_argument("--port", type=int, default=8373,
-                        help="TCP port for the 'serve' verb (0 = pick "
-                             "an ephemeral port)")
-    parser.add_argument("--rate", type=float, default=50.0,
-                        help="per-tenant submissions/s refill "
-                             "('serve' verb)")
-    parser.add_argument("--burst", type=float, default=100.0,
-                        help="per-tenant submission burst capacity "
-                             "('serve' verb)")
-    parser.add_argument("--max-inflight", type=int, default=256,
-                        help="per-tenant unfinished-job quota "
-                             "('serve' verb)")
-    parser.add_argument("--cache-budget-mb", type=float, default=None,
-                        help="LRU size budget for --cache-dir in MB "
-                             "('serve' verb; oldest entries evicted)")
     parser.add_argument("--func-engine", type=str, default="reference",
                         choices=("reference", "fast"),
                         help="functional trace-generation engine: "
@@ -565,6 +562,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "verified bit-identical; see "
                              "docs/architecture.md)")
     args = parser.parse_args(argv)
+    if args.timeout is not None and not args.timeout > 0:
+        # don't let a `--timeout 0` typo silently skip the runner path
+        # (and with it the limit the user asked for)
+        parser.error("--timeout must be > 0 seconds")
 
     if args.experiments[0] == "lint":
         apps = args.apps.split(",") if args.apps else None
@@ -603,9 +604,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       if args.strategies else list(STRATEGY_NAMES))
         runs = None
         runner = None
-        if (args.jobs > 1 or args.cache_dir or args.timeout is not None
-                or args.verify or args.telemetry or args.progress
-                or args.func_engine != "reference"):
+        if _wants_runner(args):
             specs = tradeoff_matrix(apps, strategies, config=args.config,
                                     threads=args.threads)
             runner = ExperimentRunner(jobs=args.jobs,
@@ -683,24 +682,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"removed {removed} cache entries under {args.cache_dir}")
         return 0
 
-    if args.experiments[0] == "serve":
-        if len(args.experiments) != 1:
-            parser.error("usage: vlt-repro serve [--host H --port P "
-                         "--jobs N --cache-dir DIR --cache-budget-mb M "
-                         "--telemetry DIR --timeout S --retries K "
-                         "--rate R --burst B --max-inflight Q]")
-        from ..service import ServiceConfig, serve
-        budget = None
-        if args.cache_budget_mb is not None:
-            budget = int(args.cache_budget_mb * 1024 * 1024)
-        return serve(ServiceConfig(
-            host=args.host, port=args.port, workers=max(1, args.jobs),
-            cache_dir=args.cache_dir, telemetry_dir=args.telemetry,
-            timeout=args.timeout, retries=args.retries,
-            rate=args.rate, burst=args.burst,
-            max_inflight=args.max_inflight,
-            cache_budget_bytes=budget))
-
     if args.experiments[0] == "run":
         if len(args.experiments) != 2:
             parser.error("usage: vlt-repro run <app> [--config C] "
@@ -743,6 +724,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     names = args.experiments
+    unknown = [n for n in names if n not in _SECTION_NAMES]
+    if unknown:
+        parser.error(f"unknown experiment or verb {unknown[0]!r}; choose "
+                     f"from {', '.join(CLI_VERBS)}")
+    if "all" in names and names != ["all"]:
+        parser.error("'all' cannot be combined with other experiments")
     if names == ["all"]:
         names = EXPERIMENT_NAMES
     # table1/table2 render together; drop the duplicate
@@ -757,13 +744,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     runs = None
     failures = None
     runner = None
-    if args.timeout is not None and not args.timeout > 0:
-        # don't let a `--timeout 0` typo silently skip the runner path
-        # (and with it the limit the user asked for)
-        parser.error("--timeout must be > 0 seconds")
-    if (args.jobs > 1 or args.cache_dir or args.timeout is not None
-            or args.verify or args.telemetry or args.progress
-            or args.func_engine != "reference"):
+    if _wants_runner(args):
         from ..timing.run import set_default_profiler, set_trace_cache_dir
         from .runner import ExperimentRunner
         specs = E.matrix_for(names, apps=apps, lanes=lanes)

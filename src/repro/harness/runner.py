@@ -42,10 +42,8 @@ import os
 import signal
 import sys
 import tempfile
-import threading
 import time
 import traceback
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -152,10 +150,6 @@ class RunTimeout(Exception):
     """A single run exceeded the per-run wall-clock timeout."""
 
 
-#: one-time flag for the off-main-thread `_alarm` downgrade warning
-_ALARM_THREAD_WARNED = False
-
-
 @contextmanager
 def _alarm(timeout_s: Optional[float]) -> Iterator[None]:
     """Raise :class:`RunTimeout` after ``timeout_s`` wall seconds.
@@ -164,24 +158,12 @@ def _alarm(timeout_s: Optional[float]) -> Iterator[None]:
     signal is serviced promptly.  No-op when ``timeout_s`` is None or
     the platform lacks ``SIGALRM``.
 
-    Signal handlers can only be installed from the main thread --
-    ``signal.signal`` raises ``ValueError`` anywhere else, which is
-    exactly where the job service's executor threads run specs.  Off
-    the main thread this degrades to a no-op with a one-time warning;
-    callers in that position (the service) enforce their own
-    wall-clock limits.
+    Specs run on a process's main thread (the serial runner and the
+    pool workers).  Anywhere else ``signal.signal`` raises
+    ``ValueError``, which :func:`_execute_spec` captures as a run
+    failure -- a requested limit is never silently dropped.
     """
     if not timeout_s or not hasattr(signal, "SIGALRM"):
-        yield
-        return
-    if threading.current_thread() is not threading.main_thread():
-        global _ALARM_THREAD_WARNED
-        if not _ALARM_THREAD_WARNED:
-            _ALARM_THREAD_WARNED = True
-            warnings.warn(
-                "per-run SIGALRM timeout is unavailable off the main "
-                "thread; relying on the caller's own timeout handling",
-                RuntimeWarning, stacklevel=3)
         yield
         return
 
@@ -328,77 +310,6 @@ def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
         payload["spans"] = col.spans
         payload["worker"] = col.worker
     return payload
-
-
-# --------------------------------------------------------------------------
-# Ledger record shapes (shared with repro.service)
-# --------------------------------------------------------------------------
-
-def run_record(spec: RunSpec, payload: Dict[str, object], attempts: int,
-               func_engine: str,
-               queue_wait_s: Optional[float] = None,
-               tenant: Optional[str] = None,
-               job_id: Optional[str] = None) -> Dict[str, object]:
-    """One schema-:data:`LEDGER_SCHEMA` ledger record for an observed
-    run-attempt payload.  The :class:`ExperimentRunner` and the job
-    service (:mod:`repro.service`) both build their records here so the
-    schema lives in exactly one place; ``tenant``/``job_id`` stay None
-    for CLI/runner sweeps."""
-    err = payload.get("error")
-    result = payload.get("result")
-    return {
-        "schema": LEDGER_SCHEMA,
-        "app": spec.app, "config": spec.config,
-        "threads": spec.threads, "scalar_only": spec.scalar_only,
-        "func_engine": func_engine,
-        "attempt": attempts,
-        "worker": payload.get("worker"),
-        "tenant": tenant,
-        "job_id": job_id,
-        "outcome": "ok" if err is None else "error",
-        "error_type": str(err["type"]) if err else None,
-        "cycles": int(result.cycles) if result is not None else None,
-        "wall_s": payload.get("wall_s"),
-        "queue_wait_s": queue_wait_s,
-        "t_start": payload.get("t_start"),
-        "t_end": payload.get("t_end"),
-        "result_cached": bool(payload.get("result_cached")),
-        "trace_cached": payload.get("trace_cached"),
-        "program_digest": payload.get("program_digest"),
-        "config_digest": payload.get("config_digest"),
-        "phases": payload.get("phases") or {},
-        "cache": payload.get("cache"),
-    }
-
-
-def crash_record(spec: RunSpec, attempts: int, func_engine: str,
-                 t_submit: Optional[float] = None,
-                 tenant: Optional[str] = None,
-                 job_id: Optional[str] = None) -> Dict[str, object]:
-    """Ledger record for a run whose worker process died outright."""
-    return {
-        "schema": LEDGER_SCHEMA,
-        "app": spec.app, "config": spec.config,
-        "threads": spec.threads, "scalar_only": spec.scalar_only,
-        "func_engine": func_engine,
-        "attempt": attempts,
-        "worker": None,
-        "tenant": tenant,
-        "job_id": job_id,
-        "outcome": "crash",
-        "error_type": "WorkerCrash",
-        "cycles": None,
-        "wall_s": None,
-        "queue_wait_s": None,
-        "t_start": t_submit,
-        "t_end": time.time(),
-        "result_cached": False,
-        "trace_cached": None,
-        "program_digest": None,
-        "config_digest": None,
-        "phases": {},
-        "cache": None,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -590,18 +501,63 @@ class ExperimentRunner:
 
     def _run_record(self, spec: RunSpec, payload: Dict[str, object],
                     attempts: int) -> Dict[str, object]:
+        """One schema-:data:`LEDGER_SCHEMA` ledger record for an observed
+        run-attempt payload."""
         t_submit = self._submit_t.get(spec)
         t_start = payload.get("t_start")
         queue_wait = None
         if t_submit is not None and t_start is not None:
+            # submit and start stamps come from different processes'
+            # clocks; clamp so skew never yields a negative wait
             queue_wait = max(0.0, float(t_start) - t_submit)
-        return run_record(spec, payload, attempts, self.func_engine,
-                          queue_wait_s=queue_wait)
+        err = payload.get("error")
+        result = payload.get("result")
+        return {
+            "schema": LEDGER_SCHEMA,
+            "app": spec.app, "config": spec.config,
+            "threads": spec.threads, "scalar_only": spec.scalar_only,
+            "func_engine": self.func_engine,
+            "attempt": attempts,
+            "worker": payload.get("worker"),
+            "outcome": "ok" if err is None else "error",
+            "error_type": str(err["type"]) if err else None,
+            "cycles": int(result.cycles) if result is not None else None,
+            "wall_s": payload.get("wall_s"),
+            "queue_wait_s": queue_wait,
+            "t_start": t_start,
+            "t_end": payload.get("t_end"),
+            "result_cached": bool(payload.get("result_cached")),
+            "trace_cached": payload.get("trace_cached"),
+            "program_digest": payload.get("program_digest"),
+            "config_digest": payload.get("config_digest"),
+            "phases": payload.get("phases") or {},
+            "cache": payload.get("cache"),
+        }
 
     def _crash_record(self, spec: RunSpec,
                       attempts: int) -> Dict[str, object]:
-        return crash_record(spec, attempts, self.func_engine,
-                            t_submit=self._submit_t.get(spec))
+        """Ledger record for a run whose worker process died outright."""
+        return {
+            "schema": LEDGER_SCHEMA,
+            "app": spec.app, "config": spec.config,
+            "threads": spec.threads, "scalar_only": spec.scalar_only,
+            "func_engine": self.func_engine,
+            "attempt": attempts,
+            "worker": None,
+            "outcome": "crash",
+            "error_type": "WorkerCrash",
+            "cycles": None,
+            "wall_s": None,
+            "queue_wait_s": None,
+            "t_start": self._submit_t.get(spec),
+            "t_end": time.time(),
+            "result_cached": False,
+            "trace_cached": None,
+            "program_digest": None,
+            "config_digest": None,
+            "phases": {},
+            "cache": None,
+        }
 
     def _progress_tick(self, final: bool) -> None:
         if final:

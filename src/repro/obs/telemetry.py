@@ -53,16 +53,16 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 from .chrome_trace import track_metadata
 
 #: run-ledger record schema version (bump on breaking field changes).
-#: Schema 3 added the job-service provenance fields ``tenant`` and
-#: ``job_id`` (both None for CLI/runner sweeps); schema 4 dropped the
-#: timing ``engine`` field when the event machine became the only one.
-LEDGER_SCHEMA = 4
+#: Schema 4 dropped the timing ``engine`` field when the event machine
+#: became the only one; schema 5 dropped the two job-service
+#: provenance fields along with the service that filled them.
+LEDGER_SCHEMA = 5
 
-#: every field of a schema-4 run record, in canonical order; the golden
+#: every field of a schema-5 run record, in canonical order; the golden
 #: ledger test asserts records carry exactly these keys
 RUN_RECORD_FIELDS = (
     "schema", "app", "config", "threads", "scalar_only",
-    "func_engine", "attempt", "worker", "tenant", "job_id",
+    "func_engine", "attempt", "worker",
     "outcome", "error_type",
     "cycles", "wall_s",
     "queue_wait_s", "t_start", "t_end", "result_cached", "trace_cached",
@@ -469,13 +469,9 @@ class TelemetryReader:
             failure_classes[key] = failure_classes.get(key, 0) + 1
 
         func_engine_mix: Dict[str, int] = {}
-        tenant_mix: Dict[str, int] = {}
         for r in recs:
             feng = str(r.get("func_engine") or "unknown")
             func_engine_mix[feng] = func_engine_mix.get(feng, 0) + 1
-            if r.get("tenant") is not None:   # service-submitted runs
-                ten = str(r["tenant"])
-                tenant_mix[ten] = tenant_mix.get(ten, 0) + 1
 
         return {
             "attempts": len(recs),
@@ -499,7 +495,6 @@ class TelemetryReader:
             "throughput_cycles_per_s": (cycles / span_s
                                         if span_s > 0 else None),
             "func_engine_mix": func_engine_mix,
-            "tenant_mix": tenant_mix,
             "cache_counters": cache_totals,
             "trace_cache_hit_rate": hit_rate("trace"),
             "result_cache_hit_rate": hit_rate("result"),
@@ -542,9 +537,6 @@ class TelemetryReader:
                 f"{k} x{v}"
                 for k, v in sorted(m["func_engine_mix"].items())),
         ]
-        if m["tenant_mix"]:
-            lines.append("  tenants: " + ", ".join(
-                f"{k} x{v}" for k, v in sorted(m["tenant_mix"].items())))
         if m["phase_totals"]:
             total = sum(p["wall_s"] for p in m["phase_totals"].values())
             top = sorted(m["phase_totals"].items(),
@@ -571,9 +563,6 @@ TREND_METRICS = (
     ("timing_replay", "cycles_per_s"),
     ("functional", "ops_per_s"),
     ("trace_generation_fast", "ops_per_s"),
-    ("duplicate_burst", "jobs_per_s"),
-    ("duplicate_burst", "dedupe_fraction"),
-    ("mixed_load", "jobs_per_s"),
     ("strategy_padding", "speedup_vs_auto"),
     ("strategy_peeling", "speedup_vs_auto"),
     ("strategy_unroll_jam", "speedup_vs_auto"),

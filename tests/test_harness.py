@@ -99,6 +99,40 @@ class TestCli:
             main(["fig3", "--apps", "mxm", "--timeout", "0"])
         assert "--timeout must be > 0" in capsys.readouterr().err
 
+    def test_compiler_tradeoff_zero_timeout_is_a_usage_error(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.harness.cli import main
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compiler-tradeoff", "--apps", "mxm", "--timeout", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--timeout must be > 0" in captured.err
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.iterdir())   # no BENCH json written
+
+    @pytest.mark.parametrize("argv", [["fig7"], ["serve"],
+                                      ["fig3", "fig7"], ["fig3", "all"]])
+    def test_unknown_names_are_usage_errors(self, argv, monkeypatch,
+                                            capsys):
+        """Every name is checked before anything runs: a valid section
+        listed ahead of a bad one must not simulate first."""
+        from repro.harness import cli
+        from repro.harness.runner import ExperimentRunner
+
+        def _no_run(*a, **kw):
+            raise AssertionError("a simulation ran before the name check")
+
+        monkeypatch.setattr(cli, "run_experiment", _no_run)
+        monkeypatch.setattr(cli, "run_experiment_data", _no_run)
+        monkeypatch.setattr(ExperimentRunner, "run", _no_run)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: vlt-repro" in captured.err
+
 
 class TestObservabilityCli:
     def test_trace_verb_writes_chrome_json(self, tmp_path, capsys):

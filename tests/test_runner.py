@@ -103,45 +103,26 @@ class TestFailureCapture:
 
 
 class TestAlarmOffMainThread:
-    def test_timeout_spec_runs_in_worker_thread(self):
-        """Regression: `_alarm` used to call `signal.signal` from
-        whatever thread executed the spec, which raises ValueError
-        anywhere but the main thread -- every timed job submitted
-        through a thread pool (the service's executor) died on arrival.
-        Now it degrades to a no-op with a one-time warning."""
+    def test_timeout_off_main_thread_is_a_run_failure(self):
+        """Specs run on a process's main thread.  Anywhere else
+        `signal.signal` raises ValueError; `_execute_spec` must capture
+        that as a structured run failure rather than silently dropping
+        the requested timeout."""
         import threading
-        import warnings
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.harness import runner as runner_mod
         from repro.harness.runner import _execute_spec
 
-        old_flag = runner_mod._ALARM_THREAD_WARNED
-        runner_mod._ALARM_THREAD_WARNED = False
-        try:
-            caught = []
+        def _run():
+            assert threading.current_thread() is not \
+                threading.main_thread()
+            return _execute_spec(_SPECS[0], 30.0, 50_000_000)
 
-            def _run():
-                assert threading.current_thread() is not \
-                    threading.main_thread()
-                with warnings.catch_warnings(record=True) as w:
-                    warnings.simplefilter("always")
-                    payloads = [_execute_spec(_SPECS[0], 30.0, 50_000_000),
-                                _execute_spec(_SPECS[0], 30.0, 50_000_000)]
-                caught.extend(w)
-                return payloads
-
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                payloads = pool.submit(_run).result(timeout=300)
-            for p in payloads:
-                assert p.get("error") is None, p["error"]
-                assert p["result"].cycles > 0
-            relevant = [w for w in caught
-                        if issubclass(w.category, RuntimeWarning)
-                        and "main" in str(w.message)]
-            assert len(relevant) == 1     # warned once, not per run
-        finally:
-            runner_mod._ALARM_THREAD_WARNED = old_flag
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            p = pool.submit(_run).result(timeout=300)
+        assert p.get("result") is None
+        assert p["error"]["type"] == "ValueError"
+        assert "main thread" in p["error"]["message"]
 
     def test_timeout_still_enforced_on_main_thread(self):
         from repro.harness.runner import _execute_spec
