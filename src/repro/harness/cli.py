@@ -417,8 +417,10 @@ def run_experiment_data(name: str, apps: Optional[List[str]] = None,
                         runs: "E.RunMap" = None) -> Any:
     """Run one experiment and return its raw result object.
 
-    ``runs`` (spec -> result, from the parallel runner) makes the figure
-    drivers consume precomputed results instead of simulating inline.
+    ``runs`` is the run map the figure drivers read (spec -> result):
+    the sweep's :class:`~repro.harness.experiments.LazyRunMap` or the
+    parallel runner's results.  ``None`` gives the driver a fresh lazy
+    map.
     """
     if name in ("table1", "table2"):
         return E.area_tables()
@@ -478,8 +480,8 @@ _SECTION_NAMES = tuple(EXPERIMENT_NAMES) + ("all", "verify", "mix")
 
 def _wants_runner(args: argparse.Namespace) -> bool:
     """True when a sweep verb must go through :class:`ExperimentRunner`
-    (any option only the runner honours); False keeps the serial inline
-    drivers."""
+    (any option only the runner honours); False keeps the serial
+    in-process path."""
     return (args.jobs > 1 or bool(args.cache_dir)
             or args.timeout is not None or args.verify
             or bool(args.telemetry) or args.progress
@@ -731,17 +733,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     if "all" in names and names != ["all"]:
         parser.error("'all' cannot be combined with other experiments")
     if names == ["all"]:
-        names = EXPERIMENT_NAMES
+        names = list(EXPERIMENT_NAMES)
     # table1/table2 render together; drop the duplicate
     if "table1" in names and "table2" in names:
         names.remove("table2")
     apps = args.apps.split(",") if args.apps else None
     lanes = [int(x) for x in args.lanes.split(",")] if args.lanes else None
 
-    # Parallel runner path: fan the declared run matrix out over worker
-    # processes first, then let the drivers consume the results.  The
-    # serial default (--jobs 1, no cache) simulates inline as before.
-    runs = None
+    # Every section and the written document read one run map.  The
+    # serial default (--jobs 1, no cache) is a lazy map that simulates
+    # each spec on first lookup, so a run shared by several figures
+    # replays once.  The parallel runner path fans the declared run
+    # matrix out over worker processes first and hands its results over
+    # instead.
+    runs: E.RunMap = E.LazyRunMap()
     failures = None
     runner = None
     if _wants_runner(args):

@@ -30,13 +30,18 @@ def generate_experiments_md(runs: E.RunMap = None,
                             ) -> str:
     """Render the full report.
 
-    ``runs`` is an optional precomputed spec -> result mapping from the
-    parallel runner; without it every driver simulates inline, serially.
-    The two paths produce byte-identical documents.  With ``runs``, a
-    figure whose matrix has a failed/missing run degrades to a FAILED
-    section instead of aborting the document, and a non-empty
-    ``failures`` list adds an appendix describing what broke.
+    ``runs`` is the spec -> result map every figure reads: the caller's
+    (the CLI passes the map its sections already filled, or the parallel
+    runner's precomputed results), or, when ``None``, one fresh
+    :class:`~repro.harness.experiments.LazyRunMap` for this document, so
+    a run shared by several figures is simulated once.  Every path
+    produces a byte-identical document.  A figure whose matrix has a
+    failed/missing run in a precomputed map degrades to a FAILED section
+    instead of aborting the document, and a non-empty ``failures`` list
+    adds an appendix describing what broke.
     """
+    if runs is None:
+        runs = E.LazyRunMap()
     sections: List[str] = [_HEADER]
 
     def add(title: str, body: str, commentary: str = "") -> None:

@@ -24,15 +24,39 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..area.model import table1_rows, table2_rows
 from ..timing.config import (BASE, CMT, V2_CMP, V2_SMT, V4_CMP, V4_CMP_H,
                              V4_CMT, V4_SMT, VLT_SCALAR, MachineConfig,
-                             base_config)
+                             base_config, get_config)
 from ..timing.run import simulate
 from ..timing.stats import DatapathUtilization, RunResult
 from ..workloads import AppCharacteristics, characterize, get_workload
 from .runner import MissingRunError, RunSpec
 
-#: precomputed results keyed by run spec (what the parallel runner hands
-#: the drivers); ``None`` means "simulate inline, serially".
+#: the run map the figure drivers read, keyed by run spec: the parallel
+#: runner's precomputed results or a :class:`LazyRunMap`; ``None`` means
+#: "a fresh :class:`LazyRunMap`".
 RunMap = Optional[Mapping[RunSpec, RunResult]]
+
+
+class LazyRunMap(Dict[RunSpec, RunResult]):
+    """The serial run map: simulates a spec the first time it is looked
+    up and remembers the result.
+
+    Figures 3, 4 and 5 share most of their runs, so drivers that read
+    one map replay each spec once.  A map lives as long as one sweep
+    (one ``vlt-repro`` invocation, one generated document); it is never
+    module-global, so separate sweeps in one process never share results.
+    """
+
+    def __missing__(self, spec: RunSpec) -> RunResult:
+        prog = get_workload(spec.app).program(scalar_only=spec.scalar_only,
+                                              strategy=spec.strategy)
+        result = self[spec] = simulate(prog, get_config(spec.config),
+                                       num_threads=spec.threads)
+        return result
+
+    def get(self, spec: RunSpec,  # type: ignore[override]
+            default: Optional[RunResult] = None) -> RunResult:
+        return self[spec]
+
 
 #: application groups (Table 4 structure)
 LONG_VECTOR_APPS = ("mxm", "sage")
@@ -56,22 +80,19 @@ PAPER_FIG6 = {"radix": 2.0, "ocean": 2.2, "barnes": 1.1}
 
 def _run(app: str, cfg: MachineConfig, threads: int,
          scalar_only: bool = False, runs: RunMap = None) -> RunResult:
-    """One timing run -- inline, or looked up in a precomputed run map.
+    """One timing run, looked up in the run map ``runs``.
 
-    When ``runs`` is given (the parallel-runner path), a missing or
-    failed spec raises :class:`MissingRunError` so the report section
-    that needed it can degrade instead of the whole sweep dying.
+    ``None`` gets a fresh :class:`LazyRunMap`, which simulates here.  A
+    precomputed map (the parallel runner's) raises
+    :class:`MissingRunError` for a missing or failed spec, so the report
+    section that needed it can degrade instead of the whole sweep dying.
     """
-    if runs is not None:
-        spec = RunSpec(app=app, config=cfg.name, threads=threads,
-                       scalar_only=scalar_only)
-        result = runs.get(spec)
-        if result is None:
-            raise MissingRunError(spec)
-        return result
-    w = get_workload(app)
-    prog = w.program(scalar_only=scalar_only)
-    return simulate(prog, cfg, num_threads=threads)
+    spec = RunSpec(app=app, config=cfg.name, threads=threads,
+                   scalar_only=scalar_only)
+    result = (LazyRunMap() if runs is None else runs).get(spec)
+    if result is None:
+        raise MissingRunError(spec)
+    return result
 
 
 # --------------------------------------------------------------------------

@@ -133,6 +133,74 @@ class TestCli:
         assert captured.out == ""
         assert "usage: vlt-repro" in captured.err
 
+    def test_all_keeps_the_module_experiment_list(self, monkeypatch,
+                                                  capsys):
+        """`all` drops the duplicate table2 section from its own copy of
+        the name list, not from the list later calls and --help read."""
+        from repro.harness import cli
+
+        def _no_run(*a, **kw):
+            return ""
+
+        monkeypatch.setattr(cli, "run_experiment", _no_run)
+        monkeypatch.setattr(cli, "run_experiment_data", _no_run)
+        assert cli.main(["all"]) == 0
+        assert "table2" in cli.EXPERIMENT_NAMES
+
+
+def _count_replays(monkeypatch):
+    """Count ``Machine.run_loop`` calls (one per timing replay)."""
+    from repro.timing.machine import Machine
+    calls = []
+    run_loop = Machine.run_loop
+
+    def counting(self):
+        calls.append(None)
+        return run_loop(self)
+
+    monkeypatch.setattr(Machine, "run_loop", counting)
+    return calls
+
+
+class TestRunMap:
+    """Serial sweeps read one lazy, memoising run map per invocation."""
+
+    def test_serial_sweep_replays_each_spec_once(self, tmp_path,
+                                                 monkeypatch, capsys):
+        from repro.harness.cli import main
+        from repro.timing.run import set_trace_cache_dir
+        names = ["fig3", "fig4", "fig5"]
+        replays = _count_replays(monkeypatch)
+        serial = tmp_path / "serial.json"
+        assert main(names + ["--apps", "mxm", "--json", str(serial)]) == 0
+        # figs 3 and 4 share 3 runs with fig 5: 7 specs, not 13 lookups
+        assert len(replays) == len(E.matrix_for(names, apps=["mxm"])) == 7
+
+        runner = tmp_path / "runner.json"
+        try:
+            assert main(names + ["--apps", "mxm", "--jobs", "1",
+                                 "--cache-dir", str(tmp_path / "cache"),
+                                 "--json", str(runner)]) == 0
+        finally:
+            set_trace_cache_dir(None)
+        assert serial.read_bytes() == runner.read_bytes()
+
+    def test_bare_driver_calls_do_not_share_results(self, monkeypatch):
+        """No module-global memo: each runs=None call gets a fresh map."""
+        replays = _count_replays(monkeypatch)
+        E.fig3_vlt_speedup(apps=["mxm"])
+        E.fig3_vlt_speedup(apps=["mxm"])
+        assert len(replays) == 6
+
+    def test_determinism_check_still_replays_every_time(self,
+                                                       monkeypatch):
+        """The memo lives in the harness, never in simulate(): the
+        determinism check must replay all four of its runs."""
+        from repro.harness.cli import check_determinism
+        replays = _count_replays(monkeypatch)
+        assert check_determinism("mxm").startswith("determinism OK")
+        assert len(replays) == 4
+
 
 class TestObservabilityCli:
     def test_trace_verb_writes_chrome_json(self, tmp_path, capsys):
